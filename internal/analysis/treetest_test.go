@@ -248,3 +248,65 @@ func TestKendallTauInRankStability(t *testing.T) {
 		t.Errorf("churny tau = %v, want low", rs.MeanKendallTau)
 	}
 }
+
+// lagTrace builds a trace where server i lags lags[day][i] snapshots behind
+// the freshest on each day, polled every 10 s for a minute.
+func lagTrace(lags [][]int) *trace.Trace {
+	tr := &trace.Trace{
+		Meta: trace.Meta{Description: "lag", Days: len(lags),
+			PollInterval: 10 * time.Second, DayLength: 120 * time.Second,
+			ServerTTL: 60 * time.Second},
+	}
+	for i := range lags[0] {
+		tr.Servers = append(tr.Servers, trace.ServerInfo{ID: fmt.Sprintf("s%d", i)})
+	}
+	for day, dayLags := range lags {
+		for i, lag := range dayLags {
+			id := fmt.Sprintf("s%d", i)
+			for _, sec := range []int{10, 20, 30, 40, 50, 60} {
+				snap := sec/10 - lag
+				if snap < 1 {
+					snap = 1
+				}
+				tr.Records = append(tr.Records, trace.PollRecord{
+					Day: day, Server: id, Poller: "p-" + id,
+					At: time.Duration(sec) * time.Second, Snapshot: snap,
+				})
+			}
+		}
+	}
+	return tr
+}
+
+// TestTreeExistenceLargestClusterTie pins the tie-break between two
+// equal-size clusters whose server rank spreads differ: the smallest key
+// wins on every call, whatever the map iteration order.
+func TestTreeExistenceLargestClusterTie(t *testing.T) {
+	// Cluster "a" (s0, s1) swaps order every day; cluster "b" (s2, s3)
+	// keeps s2 ahead of s3.
+	d := mustDataset(t, lagTrace([][]int{{0, 2, 0, 2}, {2, 0, 0, 2}, {0, 2, 0, 2}}))
+	clusters := map[string][]string{"b": {"s2", "s3"}, "a": {"s0", "s1"}}
+	if got := LargestCluster(clusters); fmt.Sprint(got) != "[s0 s1]" {
+		t.Fatalf("LargestCluster = %v, want [s0 s1]", got)
+	}
+	spreadOf := func(ids []string) float64 {
+		rs, err := d.ServerRankStability(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs.MeanSpread
+	}
+	want := spreadOf(clusters["a"])
+	if want == spreadOf(clusters["b"]) {
+		t.Fatalf("clusters share spread %v; the test cannot tell them apart", want)
+	}
+	for i := 0; i < 50; i++ {
+		v, err := d.TreeExistence(clusters, 60*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.ServerRankSpread != want {
+			t.Fatalf("call %d: server rank spread %v, want %v (cluster a)", i, v.ServerRankSpread, want)
+		}
+	}
+}

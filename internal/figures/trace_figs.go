@@ -368,13 +368,7 @@ func Fig11(env *TraceEnv) (*Table, error) {
 		t.AddRow(cd.Key, f2(cd.Min), f2(cd.Max))
 	}
 	// Rank stability of the largest cluster's servers (Figures 11(c,d)).
-	var largest []string
-	for _, members := range clusters {
-		if len(members) > len(largest) {
-			largest = members
-		}
-	}
-	if len(largest) >= 2 {
+	if largest := analysis.LargestCluster(clusters); len(largest) >= 2 {
 		rs, err := d.ServerRankStability(largest)
 		if err == nil {
 			t.AddRow("# server_rank_spread", f3(rs.MeanSpread), "")
