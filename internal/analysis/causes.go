@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cdnconsistency/internal/stats"
-	"cdnconsistency/internal/trace"
 )
 
 // DistancePoint pairs a provider-server distance bucket with the average
@@ -148,8 +147,8 @@ func (d *Dataset) ProviderResponseTimes(day int) ([]float64, error) {
 		return nil, err
 	}
 	var out []float64
-	for _, r := range d.providerRecs[day] {
-		if !r.Absent {
+	for _, i := range d.providerRecs[day] {
+		if r := &d.Trace.Records[i]; !r.Absent {
 			out = append(out, r.RTT.Seconds())
 		}
 	}
@@ -174,39 +173,35 @@ func (d *Dataset) Absences(day int) ([]Absence, error) {
 		return nil, err
 	}
 	interval := d.Trace.Meta.PollInterval
-	byServer := make(map[string][]trace.PollRecord)
-	for _, r := range d.serverRecs[day] {
-		if r.Absent {
-			continue // methodology: absences derived from response gaps
-		}
-		byServer[r.Server] = append(byServer[r.Server], r)
-	}
-	servers := make([]string, 0, len(byServer))
-	for s := range byServer {
-		servers = append(servers, s)
-	}
-	sort.Strings(servers)
-	alphas := d.alphas[day]
-	order := d.alphaOrder[day]
-
+	x := d.servers[day]
 	var out []Absence
-	for _, s := range servers {
-		recs := byServer[s]
-		for i := 1; i < len(recs); i++ {
-			gap := recs[i].At - recs[i-1].At
+	for o, id := range d.serverIDs {
+		// Methodology: absences are derived from gaps between responses,
+		// so absent polls are skipped.
+		prev := int32(-1)
+		for _, i := range x.byObs[o] {
+			if x.rec(i).Absent {
+				continue
+			}
+			if prev < 0 {
+				prev = i
+				continue
+			}
+			start, end := x.rec(prev).At, x.rec(i).At
+			prev = i
+			gap := end - start
 			if gap <= interval+interval/2 {
 				continue // normal cadence (allow jitter slack)
 			}
 			a := Absence{
-				Server: s, Day: day,
-				Start:  recs[i-1].At,
-				End:    recs[i].At,
-				Length: gap - interval,
+				Server: id, Day: day,
+				Start:   start,
+				End:     end,
+				Length:  gap - interval,
+				ReturnI: -1,
 			}
-			if l, ok := inconsistencyOf(recs[i], alphas, order); ok {
-				a.ReturnI = l
-			} else {
-				a.ReturnI = -1
+			if x.rank[i] >= 0 {
+				a.ReturnI = x.stale[i]
 			}
 			out = append(out, a)
 		}
@@ -298,14 +293,7 @@ func (d *Dataset) AbsenceProximityEffect(day int, window time.Duration, groups [
 	if err != nil {
 		return nil, err
 	}
-	byServer := make(map[string][]trace.PollRecord)
-	for _, r := range d.serverRecs[day] {
-		if !r.Absent {
-			byServer[r.Server] = append(byServer[r.Server], r)
-		}
-	}
-	alphas := d.alphas[day]
-	order := d.alphaOrder[day]
+	x := d.servers[day]
 
 	type agg struct {
 		before, after float64
@@ -324,16 +312,16 @@ func (d *Dataset) AbsenceProximityEffect(day int, window time.Duration, groups [
 			continue
 		}
 		aggs[gi].n++
-		for _, r := range byServer[a.Server] {
-			l, ok := inconsistencyOf(r, alphas, order)
-			if !ok {
+		for _, i := range x.byObs[d.serverPos[a.Server]] {
+			if x.rank[i] < 0 {
 				continue
 			}
-			if r.At >= a.Start-window && r.At <= a.Start {
+			at, l := x.rec(i).At, x.stale[i]
+			if at >= a.Start-window && at <= a.Start {
 				aggs[gi].before += l
 				aggs[gi].nb++
 			}
-			if r.At >= a.End && r.At <= a.End+window {
+			if at >= a.End && at <= a.End+window {
 				aggs[gi].after += l
 				aggs[gi].na++
 			}

@@ -7,67 +7,108 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"cdnconsistency/internal/trace"
 )
 
-// Dataset wraps a trace with the indexes the analyses share. Build one with
-// NewDataset and reuse it across analyses; construction sorts records and
-// computes per-day first-appearance (alpha) tables.
+// Dataset wraps a trace with the index the analyses share. Build one with
+// NewDataset and reuse it across analyses; it is read-only afterwards, so
+// the figure generators may read one concurrently.
+//
+// NewDataset sorts the records and indexes each day once. Content-server
+// records are indexed by server id, over every server in Trace.Servers;
+// provider records by poller id, since several vantage points watch the
+// same origin. Each id gets a dense position in sorted-id order, and per day
+// the index holds every record's observer, every observer's records in time
+// order, each observer's first appearance of every snapshot, every record's
+// instantaneous staleness and every observer's episode lengths against the
+// day's alpha table. Analyses answer server-record queries from these
+// tables instead of re-scanning the day.
+//
+// Bit-identity rule: an indexed analysis subtracts the same integer
+// durations and accumulates floats in the same order a scan of the day's
+// records would (records in time order, observers in sorted-id order), so
+// every result is bit-identical to the scan.
 type Dataset struct {
 	Trace *trace.Trace
 
-	// Per day, sorted by time.
-	serverRecs   [][]trace.PollRecord
-	providerRecs [][]trace.PollRecord
-	userRecs     [][]trace.PollRecord
+	// Per day, the positions in Trace.Records of each kind's records, in
+	// time order.
+	serverRecs   [][]int32
+	providerRecs [][]int32
+	userRecs     [][]int32
 
-	// alphas[day][snapshot] is the first time the snapshot was observed
-	// on any content server that day — the paper's alpha_Ci (Section 3.1:
-	// with thousands of polled servers, the first observation approximates
-	// the provider's update time).
-	alphas []map[int]time.Duration
-	// alphaOrder[day] lists snapshot ids observed that day in ascending
-	// order, for "next snapshot" lookups.
-	alphaOrder [][]int
-
-	// episodeCache memoizes PerServerInconsistency per day. episodeMu
-	// guards it: a Dataset is otherwise read-only after NewDataset, and
-	// the figure generators read one concurrently.
-	episodeMu    sync.Mutex
-	episodeCache []map[string][]float64
+	// serverIDs lists Trace.Servers' ids sorted; serverPos maps an id to
+	// its position there, the dense server index of servers[day].
+	serverIDs []string
+	serverPos map[string]int32
+	// servers[day] indexes serverRecs[day] by server and providers[day]
+	// indexes providerRecs[day] by poller.
+	servers   []*dayIndex
+	providers []*dayIndex
 }
 
-// NewDataset indexes a trace. The trace must pass Validate.
+// NewDataset indexes a trace. The trace must pass Validate; NewDataset
+// sorts its records in place, and they must not change afterwards.
 func NewDataset(tr *trace.Trace) (*Dataset, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
+	if len(tr.Records) > math.MaxInt32 {
+		return nil, fmt.Errorf("analysis: %d records exceed the index's int32 positions", len(tr.Records))
+	}
 	tr.SortRecords()
+	days := tr.Meta.Days
 	d := &Dataset{
 		Trace:        tr,
-		serverRecs:   make([][]trace.PollRecord, tr.Meta.Days),
-		providerRecs: make([][]trace.PollRecord, tr.Meta.Days),
-		userRecs:     make([][]trace.PollRecord, tr.Meta.Days),
-		alphas:       make([]map[int]time.Duration, tr.Meta.Days),
-		alphaOrder:   make([][]int, tr.Meta.Days),
+		serverRecs:   make([][]int32, days),
+		providerRecs: make([][]int32, days),
+		userRecs:     make([][]int32, days),
+		serverIDs:    make([]string, 0, len(tr.Servers)),
+		serverPos:    make(map[string]int32, len(tr.Servers)),
+		servers:      make([]*dayIndex, days),
+		providers:    make([]*dayIndex, days),
 	}
-	for _, r := range tr.Records {
+	for i := range tr.Records {
+		r := &tr.Records[i]
 		switch {
 		case r.Provider:
-			d.providerRecs[r.Day] = append(d.providerRecs[r.Day], r)
+			d.providerRecs[r.Day] = append(d.providerRecs[r.Day], int32(i))
 		case r.UserView:
-			d.userRecs[r.Day] = append(d.userRecs[r.Day], r)
+			d.userRecs[r.Day] = append(d.userRecs[r.Day], int32(i))
 		default:
-			d.serverRecs[r.Day] = append(d.serverRecs[r.Day], r)
+			d.serverRecs[r.Day] = append(d.serverRecs[r.Day], int32(i))
 		}
 	}
-	for day := 0; day < tr.Meta.Days; day++ {
-		d.alphas[day] = computeAlphas(d.serverRecs[day])
-		d.alphaOrder[day] = sortedSnapshots(d.alphas[day])
+	for _, s := range tr.Servers {
+		d.serverIDs = append(d.serverIDs, s.ID)
+	}
+	sort.Strings(d.serverIDs)
+	for i, id := range d.serverIDs {
+		d.serverPos[id] = int32(i)
+	}
+	for day := 0; day < days; day++ {
+		d.servers[day] = newDayIndex(tr.Records, d.serverRecs[day], len(d.serverIDs), func(r *trace.PollRecord) int32 {
+			return d.serverPos[r.Server]
+		})
+		pollers := make(map[string]int32)
+		for _, i := range d.providerRecs[day] {
+			pollers[tr.Records[i].Poller] = 0
+		}
+		ids := make([]string, 0, len(pollers))
+		for id := range pollers {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		for i, id := range ids {
+			pollers[id] = int32(i)
+		}
+		d.providers[day] = newDayIndex(tr.Records, d.providerRecs[day], len(ids), func(r *trace.PollRecord) int32 {
+			return pollers[r.Poller]
+		})
 	}
 	return d, nil
 }
@@ -75,29 +116,35 @@ func NewDataset(tr *trace.Trace) (*Dataset, error) {
 // Days returns the number of crawl days.
 func (d *Dataset) Days() int { return d.Trace.Meta.Days }
 
-// ServerRecords returns one day's content-server poll records (sorted).
-func (d *Dataset) ServerRecords(day int) []trace.PollRecord { return d.serverRecs[day] }
+// ServerRecords returns a copy of one day's content-server poll records
+// (sorted).
+func (d *Dataset) ServerRecords(day int) []trace.PollRecord { return d.records(d.serverRecs[day]) }
 
-// ProviderRecords returns one day's provider poll records (sorted).
-func (d *Dataset) ProviderRecords(day int) []trace.PollRecord { return d.providerRecs[day] }
+// ProviderRecords returns a copy of one day's provider poll records
+// (sorted).
+func (d *Dataset) ProviderRecords(day int) []trace.PollRecord { return d.records(d.providerRecs[day]) }
 
-// UserRecords returns one day's user-view poll records (sorted).
-func (d *Dataset) UserRecords(day int) []trace.PollRecord { return d.userRecs[day] }
+// UserRecords returns a copy of one day's user-view poll records (sorted).
+func (d *Dataset) UserRecords(day int) []trace.PollRecord { return d.records(d.userRecs[day]) }
 
-// computeAlphas maps each snapshot to its first appearance time in records.
-// Absent records never carry snapshots, so they are skipped implicitly by
-// the Snapshot > 0 check.
-func computeAlphas(records []trace.PollRecord) map[int]time.Duration {
-	alphas := make(map[int]time.Duration)
-	for _, r := range records {
-		if r.Snapshot <= 0 {
-			continue
-		}
-		if cur, ok := alphas[r.Snapshot]; !ok || r.At < cur {
-			alphas[r.Snapshot] = r.At
+func (d *Dataset) records(positions []int32) []trace.PollRecord {
+	out := make([]trace.PollRecord, len(positions))
+	for j, i := range positions {
+		out[j] = d.Trace.Records[i]
+	}
+	return out
+}
+
+// serverSet marks the servers whose ids map to true, by dense index.
+// Unknown ids are ignored: they have no records.
+func (d *Dataset) serverSet(ids map[string]bool) []bool {
+	out := make([]bool, len(d.serverIDs))
+	for id, in := range ids {
+		if o, ok := d.serverPos[id]; ok && in {
+			out[o] = true
 		}
 	}
-	return alphas
+	return out
 }
 
 func sortedSnapshots(alphas map[int]time.Duration) []int {
@@ -109,14 +156,146 @@ func sortedSnapshots(alphas map[int]time.Duration) []int {
 	return out
 }
 
-// nextObserved returns the smallest observed snapshot id greater than s,
-// or 0 if none.
-func nextObserved(order []int, s int) int {
-	i := sort.SearchInts(order, s+1)
-	if i == len(order) {
-		return 0
+// dayIndex indexes one day's records of one kind by observer. A record is
+// a position in src, observers are dense positions in sorted-id order, and
+// snapshots are positions in snaps.
+type dayIndex struct {
+	recs []trace.PollRecord // the whole trace
+	src  []int32            // record -> its position in recs
+
+	observer []int32   // record -> observer
+	byObs    [][]int32 // observer -> its records, in time order
+
+	// snaps lists the snapshot ids observed that day, ascending; alpha[k]
+	// is the first time snaps[k] was observed — the paper's alpha_Ci
+	// (Section 3.1: with thousands of polled servers, the first
+	// observation approximates the provider's update time).
+	snaps []int
+	alpha []time.Duration
+	// rank[i] is the position in snaps of record i's snapshot, or -1 when
+	// the record carries no content (absent, or snapshot 0).
+	rank []int32
+	// firsts[o] lists each snapshot observer o showed, with the first time
+	// it showed it, in time order.
+	firsts [][]firstSeen
+	// stale[i] is record i's instantaneous staleness: for a record showing
+	// Ci at time t, t - alpha(C_next) when a newer snapshot had already
+	// appeared, else 0. This per-poll view drives the instantaneous
+	// measures (Figure 4(b), Figure 11, absence proximity); the headline
+	// inconsistency lengths use the episode measure.
+	stale []float64
+	// episodes[o] is observer o's episode measure against alpha.
+	episodes []RequestInconsistency
+}
+
+type firstSeen struct {
+	rank int32
+	at   time.Duration
+}
+
+// newDayIndex indexes the records at positions src of recs (in time
+// order) over observers [0, observers); observerOf maps a record to its
+// observer.
+func newDayIndex(recs []trace.PollRecord, src []int32, observers int, observerOf func(*trace.PollRecord) int32) *dayIndex {
+	x := &dayIndex{
+		recs:     recs,
+		src:      src,
+		observer: make([]int32, len(src)),
+		byObs:    make([][]int32, observers),
+		rank:     make([]int32, len(src)),
+		firsts:   make([][]firstSeen, observers),
+		stale:    make([]float64, len(src)),
+		episodes: make([]RequestInconsistency, observers),
 	}
-	return order[i]
+	// Absent records carry no snapshot, so the Snapshot > 0 check skips
+	// them.
+	alphas := make(map[int]time.Duration)
+	for _, i := range src {
+		r := &recs[i]
+		if r.Snapshot <= 0 {
+			continue
+		}
+		if cur, ok := alphas[r.Snapshot]; !ok || r.At < cur {
+			alphas[r.Snapshot] = r.At
+		}
+	}
+	x.snaps = sortedSnapshots(alphas)
+	x.alpha = make([]time.Duration, len(x.snaps))
+	for k, s := range x.snaps {
+		x.alpha[k] = alphas[s]
+	}
+	counts := make([]int, observers)
+	for i := range src {
+		r := x.rec(int32(i))
+		o := observerOf(r)
+		x.observer[i] = o
+		counts[o]++
+		x.rank[i] = -1
+		if r.Absent || r.Snapshot <= 0 {
+			continue
+		}
+		k := sort.SearchInts(x.snaps, r.Snapshot)
+		x.rank[i] = int32(k)
+		if k+1 < len(x.snaps) && r.At > x.alpha[k+1] {
+			x.stale[i] = (r.At - x.alpha[k+1]).Seconds()
+		}
+	}
+	// One backing array holds every observer's record list.
+	flat := make([]int32, 0, len(src))
+	for o, n := range counts {
+		x.byObs[o] = flat[len(flat) : len(flat) : len(flat)+n]
+		flat = flat[:len(flat)+n]
+	}
+	for i, o := range x.observer {
+		x.byObs[o] = append(x.byObs[o], int32(i))
+	}
+	seenBy := make([]int32, len(x.snaps))
+	for k := range seenBy {
+		seenBy[k] = -1
+	}
+	all := make([]int32, len(x.snaps))
+	for k := range all {
+		all[k] = int32(k)
+	}
+	for o, list := range x.byObs {
+		for _, i := range list {
+			if k := x.rank[i]; k >= 0 && seenBy[k] != int32(o) {
+				seenBy[k] = int32(o)
+				x.firsts[o] = append(x.firsts[o], firstSeen{rank: k, at: x.rec(i).At})
+			}
+		}
+		x.episodes[o] = x.episodeLengths(int32(o), x.alpha, all)
+	}
+	return x
+}
+
+func (x *dayIndex) rec(i int32) *trace.PollRecord { return &x.recs[x.src[i]] }
+
+// scopedAlpha is the alpha table of the observers in scope: each snapshot's
+// earliest first appearance among them, -1 for snapshots none showed. It
+// also returns the positions of the snapshots they showed, ascending.
+func (x *dayIndex) scopedAlpha(scope []bool) ([]time.Duration, []int32) {
+	alpha := make([]time.Duration, len(x.snaps))
+	for k := range alpha {
+		alpha[k] = -1
+	}
+	for o, in := range scope {
+		if !in {
+			continue
+		}
+		for _, f := range x.firsts[o] {
+			if alpha[f.rank] < 0 || f.at < alpha[f.rank] {
+				alpha[f.rank] = f.at
+			}
+		}
+	}
+	var order []int32
+	for k, at := range alpha {
+		if at >= 0 {
+			order = append(order, int32(k))
+		}
+	}
+	return alpha, order
 }
 
 // RequestInconsistency is the paper's alpha/beta inconsistency measure
@@ -148,46 +327,31 @@ func (ri RequestInconsistency) Mean() float64 {
 	return sum / float64(len(ri.Lengths))
 }
 
-// inconsistencyOf is the instantaneous per-record staleness: for a record
-// showing snapshot Ci at time t, it is t - alpha(C_next) when a newer
-// snapshot had already appeared, else 0. The boolean reports whether the
-// record carried content at all. This per-poll view drives the
-// instantaneous measures (Figure 4(b), absence proximity); the headline
-// inconsistency lengths use the episode measure below.
-func inconsistencyOf(r trace.PollRecord, alphas map[int]time.Duration, order []int) (float64, bool) {
-	if r.Absent || r.Snapshot <= 0 {
-		return 0, false
-	}
-	next := nextObserved(order, r.Snapshot)
-	if next == 0 {
-		return 0, true // newest observed snapshot: fresh
-	}
-	alphaNext := alphas[next]
-	if r.At <= alphaNext {
-		return 0, true
-	}
-	return (r.At - alphaNext).Seconds(), true
+func (ri *RequestInconsistency) merge(o RequestInconsistency) {
+	ri.Lengths = append(ri.Lengths, o.Lengths...)
+	ri.Fresh += o.Fresh
+	ri.Total += o.Total
 }
 
-// episodeLengths computes, for one observer's time-ordered records, the
-// catch-up delay for every update in the alpha order. An update the
-// observer never catches up to (end of trace) contributes nothing.
+// episodeLengths computes, for observer o, the catch-up delay for every
+// update in order (snapshot positions, ascending) against alpha. An update
+// the observer never catches up to (end of trace) contributes nothing.
 // Negative delays (possible under scoped alphas when the observer itself
 // defines the global first appearance) count as fresh.
-func episodeLengths(records []trace.PollRecord, alphas map[int]time.Duration, order []int) RequestInconsistency {
+func (x *dayIndex) episodeLengths(o int32, alpha []time.Duration, order []int32) RequestInconsistency {
 	var out RequestInconsistency
+	recs := x.byObs[o]
 	ri := 0
-	for _, snap := range order {
-		alpha := alphas[snap]
-		// Advance to the first content-bearing record showing >= snap.
-		for ri < len(records) && (records[ri].Absent || records[ri].Snapshot < snap) {
+	for _, k := range order {
+		// Advance to the first content-bearing record showing >= snaps[k].
+		for ri < len(recs) && x.rank[recs[ri]] < k {
 			ri++
 		}
-		if ri == len(records) {
+		if ri == len(recs) {
 			break
 		}
 		out.Total++
-		delay := (records[ri].At - alpha).Seconds()
+		delay := (x.rec(recs[ri]).At - alpha[k]).Seconds()
 		if delay <= 0 {
 			out.Fresh++
 		} else {
@@ -197,36 +361,11 @@ func episodeLengths(records []trace.PollRecord, alphas map[int]time.Duration, or
 	return out
 }
 
-// groupByObserver splits records into per-observer time-ordered lists.
-// Content servers are keyed by server id; provider polls by poller id
-// (multiple vantage points watch the same origin).
-func groupByObserver(records []trace.PollRecord) map[string][]trace.PollRecord {
-	out := make(map[string][]trace.PollRecord)
-	for _, r := range records {
-		key := r.Server
-		if r.Provider {
-			key = r.Poller
-		}
-		out[key] = append(out[key], r)
-	}
-	return out
-}
-
-// collectInconsistencies runs the episode measure over every observer in
-// records against the given alpha scope.
-func collectInconsistencies(records []trace.PollRecord, alphas map[int]time.Duration, order []int) RequestInconsistency {
-	grouped := groupByObserver(records)
-	keys := make([]string, 0, len(grouped))
-	for k := range grouped {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+// allEpisodes merges every observer's episode measure in sorted-id order.
+func (x *dayIndex) allEpisodes() RequestInconsistency {
 	var out RequestInconsistency
-	for _, k := range keys {
-		ri := episodeLengths(grouped[k], alphas, order)
-		out.Lengths = append(out.Lengths, ri.Lengths...)
-		out.Fresh += ri.Fresh
-		out.Total += ri.Total
+	for _, ri := range x.episodes {
+		out.merge(ri)
 	}
 	return out
 }
@@ -237,17 +376,14 @@ func (d *Dataset) RequestInconsistencies(day int) (RequestInconsistency, error) 
 	if err := d.checkDay(day); err != nil {
 		return RequestInconsistency{}, err
 	}
-	return collectInconsistencies(d.serverRecs[day], d.alphas[day], d.alphaOrder[day]), nil
+	return d.servers[day].allEpisodes(), nil
 }
 
 // RequestInconsistenciesAll merges every day's Figure-3 measure.
 func (d *Dataset) RequestInconsistenciesAll() RequestInconsistency {
 	var out RequestInconsistency
 	for day := 0; day < d.Days(); day++ {
-		ri, _ := d.RequestInconsistencies(day)
-		out.Lengths = append(out.Lengths, ri.Lengths...)
-		out.Fresh += ri.Fresh
-		out.Total += ri.Total
+		out.merge(d.servers[day].allEpisodes())
 	}
 	return out
 }
@@ -258,9 +394,7 @@ func (d *Dataset) ProviderInconsistencies(day int) (RequestInconsistency, error)
 	if err := d.checkDay(day); err != nil {
 		return RequestInconsistency{}, err
 	}
-	alphas := computeAlphas(d.providerRecs[day])
-	order := sortedSnapshots(alphas)
-	return collectInconsistencies(d.providerRecs[day], alphas, order), nil
+	return d.providers[day].allEpisodes(), nil
 }
 
 // ScopedInconsistencies computes request inconsistency for records of the
@@ -272,48 +406,31 @@ func (d *Dataset) ScopedInconsistencies(day int, servers, alphaScope map[string]
 	if err := d.checkDay(day); err != nil {
 		return RequestInconsistency{}, err
 	}
-	var scopeRecs, memberRecs []trace.PollRecord
-	for _, r := range d.serverRecs[day] {
-		if alphaScope[r.Server] {
-			scopeRecs = append(scopeRecs, r)
-		}
-		if servers[r.Server] {
-			memberRecs = append(memberRecs, r)
+	x := d.servers[day]
+	alpha, order := x.scopedAlpha(d.serverSet(alphaScope))
+	var out RequestInconsistency
+	for o, in := range d.serverSet(servers) {
+		if in {
+			out.merge(x.episodeLengths(int32(o), alpha, order))
 		}
 	}
-	alphas := computeAlphas(scopeRecs)
-	order := sortedSnapshots(alphas)
-	return collectInconsistencies(memberRecs, alphas, order), nil
+	return out, nil
 }
 
 // PerServerInconsistency aggregates one day's episode inconsistencies per
 // server (global alpha scope). The map holds each server's positive episode
-// lengths in seconds; servers whose episodes were all fresh map to an empty
-// slice. Results are cached on the Dataset.
+// lengths in seconds; servers whose episodes were all fresh, or that have
+// no records that day, map to an empty slice. The slices are shared with
+// the Dataset and must not be modified.
 func (d *Dataset) PerServerInconsistency(day int) (map[string][]float64, error) {
 	if err := d.checkDay(day); err != nil {
 		return nil, err
 	}
-	d.episodeMu.Lock()
-	defer d.episodeMu.Unlock()
-	if d.episodeCache == nil {
-		d.episodeCache = make([]map[string][]float64, d.Days())
+	x := d.servers[day]
+	out := make(map[string][]float64, len(d.serverIDs))
+	for o, id := range d.serverIDs {
+		out[id] = x.episodes[o].Lengths
 	}
-	if cached := d.episodeCache[day]; cached != nil {
-		return cached, nil
-	}
-	out := make(map[string][]float64, len(d.Trace.Servers))
-	grouped := groupByObserver(d.serverRecs[day])
-	for _, s := range d.Trace.Servers {
-		recs, ok := grouped[s.ID]
-		if !ok {
-			out[s.ID] = nil
-			continue
-		}
-		ri := episodeLengths(recs, d.alphas[day], d.alphaOrder[day])
-		out[s.ID] = ri.Lengths
-	}
-	d.episodeCache[day] = out
 	return out, nil
 }
 
@@ -324,27 +441,26 @@ func (d *Dataset) PerServerInconsistency(day int) (map[string][]float64, error) 
 // evaluate the union of stale intervals at poll granularity: the fraction
 // of the server's polls that returned fresh content.
 func (d *Dataset) ConsistencyRatio() map[string]float64 {
-	fresh := make(map[string]int, len(d.Trace.Servers))
-	total := make(map[string]int, len(d.Trace.Servers))
-	for day := 0; day < d.Days(); day++ {
-		for _, r := range d.serverRecs[day] {
-			l, ok := inconsistencyOf(r, d.alphas[day], d.alphaOrder[day])
-			if !ok {
+	fresh := make([]int, len(d.serverIDs))
+	total := make([]int, len(d.serverIDs))
+	for _, x := range d.servers {
+		for i, o := range x.observer {
+			if x.rank[i] < 0 {
 				continue
 			}
-			total[r.Server]++
-			if l == 0 {
-				fresh[r.Server]++
+			total[o]++
+			if x.stale[i] == 0 {
+				fresh[o]++
 			}
 		}
 	}
-	out := make(map[string]float64, len(d.Trace.Servers))
-	for _, s := range d.Trace.Servers {
-		if total[s.ID] == 0 {
-			out[s.ID] = 1
+	out := make(map[string]float64, len(d.serverIDs))
+	for o, id := range d.serverIDs {
+		if total[o] == 0 {
+			out[id] = 1
 			continue
 		}
-		out[s.ID] = float64(fresh[s.ID]) / float64(total[s.ID])
+		out[id] = float64(fresh[o]) / float64(total[o])
 	}
 	return out
 }

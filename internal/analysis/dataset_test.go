@@ -71,7 +71,7 @@ func TestAlphas(t *testing.T) {
 		3: 60 * time.Second,
 	}
 	for snap, at := range want {
-		if got := d.alphas[0][snap]; got != at {
+		if got := d.alphaOf(0, snap); got != at {
 			t.Errorf("alpha[%d] = %v, want %v", snap, got, at)
 		}
 	}
@@ -197,7 +197,7 @@ func TestAbsentRecordsIgnoredInAlpha(t *testing.T) {
 		Day: 0, Server: "s1", Poller: "p-s1", At: 5 * time.Second, Absent: true,
 	})
 	d := mustDataset(t, tr)
-	if got := d.alphas[0][1]; got != 10*time.Second {
+	if got := d.alphaOf(0, 1); got != 10*time.Second {
 		t.Errorf("alpha[1] = %v after absent record, want 10s", got)
 	}
 	ri, err := d.RequestInconsistencies(0)

@@ -34,16 +34,6 @@ func genDataset(t testing.TB) *Dataset {
 			return
 		}
 		genDS, genErr = NewDataset(res.Trace)
-		if genErr != nil {
-			return
-		}
-		// Warm the per-day episode cache so parallel readers never race.
-		for day := 0; day < genDS.Days(); day++ {
-			if _, err := genDS.PerServerInconsistency(day); err != nil {
-				genErr = err
-				return
-			}
-		}
 	})
 	if genErr != nil {
 		t.Fatalf("building shared dataset: %v", genErr)

@@ -31,7 +31,8 @@ func (d *Dataset) UserView(day int) (UserViewStats, error) {
 		return UserViewStats{}, err
 	}
 	byUser := make(map[string][]trace.PollRecord)
-	for _, r := range d.userRecs[day] {
+	for _, i := range d.userRecs[day] {
+		r := d.Trace.Records[i]
 		byUser[r.Poller] = append(byUser[r.Poller], r)
 	}
 	users := make([]string, 0, len(byUser))
@@ -119,12 +120,12 @@ func (d *Dataset) InconsistentServerFraction(day int) (float64, error) {
 	}
 	type bucket struct{ stale, total int }
 	buckets := make(map[int]*bucket)
-	alphas := d.alphas[day]
-	order := d.alphaOrder[day]
-	for _, r := range d.serverRecs[day] {
-		if r.Absent || r.Snapshot <= 0 {
+	x := d.servers[day]
+	for i, k := range x.rank {
+		if k < 0 {
 			continue
 		}
+		r := x.rec(int32(i))
 		b := buckets[int(r.At/interval)]
 		if b == nil {
 			b = &bucket{}
@@ -132,8 +133,7 @@ func (d *Dataset) InconsistentServerFraction(day int) (float64, error) {
 		}
 		b.total++
 		// Stale if a newer snapshot had already appeared by this time.
-		next := nextObserved(order, r.Snapshot)
-		if next != 0 && r.At > alphas[next] {
+		if x.stale[i] > 0 {
 			b.stale++
 		}
 	}
@@ -159,7 +159,8 @@ func (d *Dataset) ResampledInconsistencyRuns(day int, period time.Duration) ([]f
 		period = d.Trace.Meta.PollInterval
 	}
 	byUser := make(map[string][]trace.PollRecord)
-	for _, r := range d.userRecs[day] {
+	for _, i := range d.userRecs[day] {
+		r := d.Trace.Records[i]
 		byUser[r.Poller] = append(byUser[r.Poller], r)
 	}
 	var runs []float64
