@@ -34,19 +34,28 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	if p < 0 || p > 100 {
 		return 0, fmt.Errorf("stats: percentile %v out of [0,100]", p)
 	}
+	return percentileSorted(sortedCopy(xs), p), nil
+}
+
+func sortedCopy(xs []float64) []float64 {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return sorted
+}
+
+// percentileSorted is Percentile over non-empty, sorted input.
+func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
-		return sorted[0], nil
+		return sorted[0]
 	}
 	rank := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return sorted[lo], nil
+		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Summary holds the three percentiles the paper reports throughout
@@ -55,21 +64,18 @@ type Summary struct {
 	P5, Median, P95 float64
 }
 
-// Summarize computes the 5th, 50th and 95th percentiles of xs.
+// Summarize computes the 5th, 50th and 95th percentiles of xs, sorting one
+// copy of xs once.
 func Summarize(xs []float64) (Summary, error) {
-	p5, err := Percentile(xs, 5)
-	if err != nil {
-		return Summary{}, err
+	if len(xs) == 0 {
+		return Summary{}, ErrEmpty
 	}
-	med, err := Percentile(xs, 50)
-	if err != nil {
-		return Summary{}, err
-	}
-	p95, err := Percentile(xs, 95)
-	if err != nil {
-		return Summary{}, err
-	}
-	return Summary{P5: p5, Median: med, P95: p95}, nil
+	sorted := sortedCopy(xs)
+	return Summary{
+		P5:     percentileSorted(sorted, 5),
+		Median: percentileSorted(sorted, 50),
+		P95:    percentileSorted(sorted, 95),
+	}, nil
 }
 
 // RMSE returns the root mean square error between two equal-length series.

@@ -83,6 +83,45 @@ func TestSummarizeOrdering(t *testing.T) {
 	}
 }
 
+// TestSummarizeMatchesPercentile requires the single-sort Summarize to
+// equal three Percentile calls bit for bit, and to leave its input alone.
+func TestSummarizeMatchesPercentile(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 2, 3, 7, 20, 101, 1000} {
+		for trial := 0; trial < 20; trial++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = r.ExpFloat64() * 40
+				if trial%4 == 0 {
+					xs[i] = math.Round(xs[i]) // ties
+				}
+			}
+			orig := append([]float64(nil), xs...)
+			s, err := Summarize(xs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				p   float64
+				got float64
+			}{{5, s.P5}, {50, s.Median}, {95, s.P95}} {
+				want, _ := Percentile(xs, c.p)
+				if math.Float64bits(c.got) != math.Float64bits(want) {
+					t.Errorf("n=%d trial %d: p%v = %v, Percentile gives %v", n, trial, c.p, c.got, want)
+				}
+			}
+			for i := range xs {
+				if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+					t.Fatalf("n=%d: Summarize modified its input", n)
+				}
+			}
+		}
+	}
+	if _, err := Summarize(nil); err != ErrEmpty {
+		t.Errorf("Summarize(nil) error = %v, want ErrEmpty", err)
+	}
+}
+
 func TestRMSE(t *testing.T) {
 	got, err := RMSE([]float64{1, 2, 3}, []float64{1, 2, 3})
 	if err != nil || got != 0 {
