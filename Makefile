@@ -24,13 +24,13 @@ race:
 bench:
 	./scripts/bench.sh
 
-# The CI regression gate: the guarded figure + hot-path benchmarks only,
-# compared strictly (>20% ns/op or allocs/op fails) against the newest
-# committed BENCH_<n>.json.
+# The CI regression gate: the guarded figure, analysis and hot-path
+# benchmarks only, compared strictly (>20% ns/op or allocs/op fails)
+# against the newest committed BENCH_<n>.json.
 bench-smoke:
-	BENCH_PATTERN='Fig19$$|Fig20$$|ExtScale$$|ShardedExtScale$$|EngineScheduleFire|EngineEveryCancelChurn|NetworkSendSteadyState|AccountingSweep|ShardedBarrier' \
+	BENCH_PATTERN='Fig05$$|Fig09$$|Fig11$$|TreeVerdict$$|Fig19$$|Fig20$$|ExtScale$$|ShardedExtScale$$|EngineScheduleFire|EngineEveryCancelChurn|NetworkSendSteadyState|AccountingSweep|ShardedBarrier|NewDataset$$|ScopedInconsistencies$$' \
 	BENCH_TIME=2x BENCH_COUNT=3 BENCH_STRICT=1 \
-	BENCH_GUARD='Fig19,Fig20,ExtScale,ShardedExtScale' \
+	BENCH_GUARD='Fig05,Fig09,Fig11,TreeVerdict,Fig19,Fig20,ExtScale,ShardedExtScale,NewDataset,ScopedInconsistencies' \
 	./scripts/bench.sh $(CURDIR)/.bench-smoke.json
 	rm -f $(CURDIR)/.bench-smoke.json
 
