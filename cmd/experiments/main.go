@@ -211,7 +211,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	fedSpec := federation.DefaultSpec(3)
 	if *fedFlag != "" {
 		var err error
-		if fedSpec, err = resolveFederation(*fedFlag); err != nil {
+		if fedSpec, err = federation.Resolve(*fedFlag); err != nil {
 			return err
 		}
 	}
@@ -494,24 +494,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		printMetrics(errw, summary, *parallel)
 	}
 	return nil
-}
-
-// resolveFederation turns the -federation flag value into a provider spec:
-// "@path" parses a JSON spec file, anything else must be a provider count
-// (>= 1) expanded through the real-city default sites.
-func resolveFederation(arg string) (federation.Spec, error) {
-	if path, ok := strings.CutPrefix(arg, "@"); ok {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return federation.Spec{}, err
-		}
-		return federation.ParseSpec(data)
-	}
-	n, err := strconv.Atoi(arg)
-	if err != nil || n < 1 {
-		return federation.Spec{}, fmt.Errorf("-federation wants a provider count >= 1 or @file.json, got %q", arg)
-	}
-	return federation.DefaultSpec(n), nil
 }
 
 // printMetrics writes the per-job summary table. It goes to stderr so that

@@ -173,6 +173,56 @@ func TestPlanResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// A plan's compare block is judged from its cells' metrics, so a resume that
+// restores some cells from the journal must print the same compare verdict
+// as an uninterrupted run.
+func TestPlanResumeCompareByteIdentical(t *testing.T) {
+	// Heavy enough that the cancellation fired by the first cell's
+	// emission lands while the second cell is still simulating.
+	path := filepath.Join(t.TempDir(), "cmp.json")
+	if err := os.WriteFile(path, []byte(`{
+	  "name": "cmp",
+	  "systems": ["Push", "TTL"],
+	  "servers": 100,
+	  "users_per_server": 3,
+	  "clusters": 10,
+	  "server_ttl": "5s",
+	  "game": {"phases": [{"name": "play", "duration": "20m", "mean_gap": "10s"}]},
+	  "assert": [{"metric": "user_observations", "op": ">", "value": 0}],
+	  "compare": [{"metric": "light_msgs", "left": "TTL", "right": "Push", "op": ">"}]
+	}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	full, _, err := runCLI(t, "-plan", path, "-parallel", "1")
+	if err != nil {
+		t.Fatalf("uninterrupted run: %v", err)
+	}
+	if !strings.Contains(full, "PASS\tcompare light_msgs") {
+		t.Fatalf("uninterrupted run printed no passing compare:\n%s", full)
+	}
+
+	ck := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var partial bytes.Buffer
+	err = run(ctx, []string{"-plan", path, "-parallel", "1", "-checkpoint", ck},
+		&cancelOnFirstWrite{w: &partial, cancel: cancel}, io.Discard)
+	if err == nil {
+		t.Fatal("interrupted run finished cleanly; cancellation came too late to test resume")
+	}
+
+	var out, errb bytes.Buffer
+	if err := run(context.Background(), []string{"-plan", path, "-parallel", "1", "-resume", ck}, &out, &errb); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if out.String() != full {
+		t.Errorf("resumed stdout differs from uninterrupted run:\n--- resumed ---\n%s\n--- full ---\n%s", out.String(), full)
+	}
+	if !strings.Contains(errb.String(), "cmp/Push/s1 restored from checkpoint") {
+		t.Errorf("resume did not restore the journaled cell:\n%s", errb.String())
+	}
+}
+
 func TestPlanResumeRefusesEditedPlans(t *testing.T) {
 	dir := t.TempDir()
 	writeTestCatalog(t, dir)

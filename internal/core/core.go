@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"cdnconsistency/internal/cdn"
@@ -51,14 +52,37 @@ func Systems() []System {
 	return []System{SystemPush, SystemInvalidation, SystemTTL, SystemSelf, SystemHybrid, SystemHAT}
 }
 
-// SystemByName resolves a figure label ("Push", "HAT", ...).
+// SystemByName resolves a figure label ("Push", "HAT", ...) or an explicit
+// "Method/Infra" pair ("TTL/Multicast") spelled the way Method.String and
+// Infra.String print them.
 func SystemByName(name string) (System, error) {
 	for _, s := range Systems() {
 		if s.Name == name {
 			return s, nil
 		}
 	}
-	return System{}, fmt.Errorf("core: unknown system %q", name)
+	method, infra, ok := strings.Cut(name, "/")
+	if !ok {
+		return System{}, fmt.Errorf("core: unknown system %q (want a named system or \"Method/Infra\")", name)
+	}
+	sys := System{Name: name}
+	for m := consistency.MethodTTL; m.Valid(); m++ {
+		if m.String() == method {
+			sys.Method = m
+		}
+	}
+	if sys.Method == 0 {
+		return System{}, fmt.Errorf("core: unknown method %q", method)
+	}
+	for i := consistency.InfraUnicast; i.Valid(); i++ {
+		if i.String() == infra {
+			sys.Infra = i
+		}
+	}
+	if sys.Infra == 0 {
+		return System{}, fmt.Errorf("core: unknown infra %q", infra)
+	}
+	return sys, nil
 }
 
 // Option customizes an experiment run.

@@ -55,6 +55,27 @@ func TestSystemByName(t *testing.T) {
 	if _, err := SystemByName("nope"); err == nil {
 		t.Error("unknown name accepted")
 	}
+	s, err = SystemByName("Lease/Broadcast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Name != "Lease/Broadcast" || s.Method != consistency.MethodLease || s.Infra != consistency.InfraBroadcast {
+		t.Errorf("Lease/Broadcast = %+v", s)
+	}
+	// Every method x infra pair resolves under the names String prints.
+	for m := consistency.MethodTTL; m.Valid(); m++ {
+		for i := consistency.InfraUnicast; i.Valid(); i++ {
+			name := m.String() + "/" + i.String()
+			if s, err := SystemByName(name); err != nil || s.Method != m || s.Infra != i {
+				t.Errorf("SystemByName(%q) = %+v, %v", name, s, err)
+			}
+		}
+	}
+	for _, name := range []string{"ttl/Unicast", "TTL/", "/Unicast", "TTL/Unicast/Extra", "Method(9)/Unicast"} {
+		if _, err := SystemByName(name); err == nil {
+			t.Errorf("SystemByName(%q) accepted", name)
+		}
+	}
 }
 
 func TestRunAppliesOptions(t *testing.T) {

@@ -16,12 +16,12 @@
 package fault
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"time"
 
 	"cdnconsistency/internal/geo"
+	"cdnconsistency/internal/strictjson"
 )
 
 // Duration is a time.Duration that (un)marshals JSON as either a Go
@@ -198,13 +198,8 @@ func (s Spec) Empty() bool {
 // pass Validate.
 func ParseSpec(data []byte) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := strictjson.Decode(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("fault: parse spec: %w", err)
-	}
-	if dec.More() {
-		return Spec{}, fmt.Errorf("fault: parse spec: trailing data after spec")
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err

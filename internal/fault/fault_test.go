@@ -362,7 +362,10 @@ func TestBuiltinScenariosValidate(t *testing.T) {
 }
 
 func TestParseSpecRejectsTrailingData(t *testing.T) {
-	if _, err := ParseSpec([]byte(`{"crashes":[{"server":0}]} {}`)); err == nil || !strings.Contains(err.Error(), "trailing data") {
-		t.Fatalf("want trailing-data error, got %v", err)
+	for _, suffix := range []string{" {}", "}", " ]]]"} {
+		in := `{"crashes":[{"server":0}]}` + suffix
+		if _, err := ParseSpec([]byte(in)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("ParseSpec(%q): want trailing-data error, got %v", in, err)
+		}
 	}
 }

@@ -18,12 +18,15 @@
 package federation
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"regexp"
+	"strconv"
+	"strings"
 
 	"cdnconsistency/internal/fault"
+	"cdnconsistency/internal/strictjson"
 )
 
 // Provider is one federated origin. Provider 0 plays the paper's single
@@ -136,14 +139,9 @@ func (s *Spec) Validate() error {
 // ParseSpec decodes a strict-JSON federation spec: unknown fields, trailing
 // data, and invalid values are all errors.
 func ParseSpec(data []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := strictjson.Decode(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("federation: parsing spec: %w", err)
-	}
-	if dec.More() {
-		return Spec{}, fmt.Errorf("federation: trailing data after spec")
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
@@ -183,4 +181,22 @@ func DefaultSpec(n int) Spec {
 		n = len(defaultSites)
 	}
 	return Spec{Providers: append([]Provider(nil), defaultSites[:n]...)}
+}
+
+// Resolve maps a -federation command-line argument to a spec: "@path"
+// parses a JSON spec file, anything else must be a provider count (>= 1)
+// expanded through DefaultSpec's real-city sites.
+func Resolve(arg string) (Spec, error) {
+	if path, ok := strings.CutPrefix(arg, "@"); ok {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return Spec{}, err
+		}
+		return ParseSpec(data)
+	}
+	n, err := strconv.Atoi(arg)
+	if err != nil || n < 1 {
+		return Spec{}, fmt.Errorf("-federation wants a provider count >= 1 or @file.json, got %q", arg)
+	}
+	return DefaultSpec(n), nil
 }

@@ -59,6 +59,8 @@ func TestParseSpecRejects(t *testing.T) {
 	}{
 		{"unknown field", `{"providers": [{"name": "a", "lat": 0, "lon": 0}], "bogus": 1}`, "bogus"},
 		{"trailing data", `{"providers": [{"name": "a", "lat": 0, "lon": 0}]} {}`, "trailing"},
+		{"trailing brace", `{"providers": [{"name": "a", "lat": 0, "lon": 0}]}}`, "trailing"},
+		{"trailing brackets", `{"providers": [{"name": "a", "lat": 0, "lon": 0}]} ]]]`, "trailing"},
 		{"no providers", `{"providers": []}`, "at least one"},
 		{"bad name", `{"providers": [{"name": "9bad", "lat": 0, "lon": 0}]}`, "name"},
 		{"dup name", `{"providers": [{"name": "a", "lat": 0, "lon": 0}, {"name": "a", "lat": 1, "lon": 1}]}`, "duplicate"},

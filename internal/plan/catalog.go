@@ -30,7 +30,7 @@ func LoadFile(path string) (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: import: %w", path, err)
 		}
-		p.SetImportBundle(b)
+		p.Bundle = b
 	}
 	return p, nil
 }

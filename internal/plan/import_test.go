@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"cdnconsistency/internal/topology"
-	"cdnconsistency/internal/traceimport"
 	"cdnconsistency/internal/tracegen"
+	"cdnconsistency/internal/traceimport"
 )
 
 // writeImportFixtures generates a small trace, infers its bundle, and lays
@@ -69,7 +69,7 @@ func TestPlanImportRuns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadFile: %v", err)
 	}
-	if p.ImportBundle() == nil {
+	if p.Bundle == nil {
 		t.Fatal("LoadFile did not resolve the import bundle")
 	}
 	if got, want := p.EffectiveServerTTL(), b.Summary.ServerTTL.D(); got != want {
@@ -148,6 +148,7 @@ func TestPlanImportExclusions(t *testing.T) {
 		`"faults": {"crashes": [{"server": 0, "at": "10s"}]},`,
 		`"federation": {"providers": [{"name": "a"}]},`,
 		`"shards": 2,`,
+		`"shard_cells": 4,`,
 	} {
 		input := fmt.Sprintf(base, field)
 		_, err := ParsePlan([]byte(input))
@@ -164,7 +165,7 @@ func TestPlanImportExclusions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Cells: %v", err)
 	}
-	if _, err := cells[0].run(variant{}, RunOptions{}); err == nil || !strings.Contains(err.Error(), "not resolved") {
+	if _, err := cells[0].run(p.Scenario, RunOptions{}); err == nil || !strings.Contains(err.Error(), "not resolved") {
 		t.Errorf("run with unresolved import: err = %v, want a not-resolved error", err)
 	}
 	if got := p.EffectiveServerTTL(); got != 60*time.Second {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,6 +74,8 @@ func TestParsePlanRejects(t *testing.T) {
 	}{
 		{"unknown field", `{"name":"x","systems":["TTL"],"bogus":1,"assert":[{"metric":"crashes","op":"==","value":0}]}`, "unknown field"},
 		{"trailing data", validPlanJSON + `{"more": true}`, "trailing data"},
+		{"trailing brace", validPlanJSON + `}`, "trailing data"},
+		{"trailing brackets", validPlanJSON + ` ]]]`, "trailing data"},
 		{"bad name", `{"name":"a b","systems":["TTL"],"assert":[{"metric":"crashes","op":"==","value":0}]}`, "must match"},
 		{"no systems", `{"name":"x","systems":[],"assert":[{"metric":"crashes","op":"==","value":0}]}`, "no systems"},
 		{"unknown system", `{"name":"x","systems":["NoSuch"],"assert":[{"metric":"crashes","op":"==","value":0}]}`, "unknown system"},
@@ -108,15 +111,22 @@ func TestParsePlanRejects(t *testing.T) {
 }
 
 func TestResolveSystemPairs(t *testing.T) {
+	plan := `{"name":"x","systems":[%q],"assert":[{"metric":"crashes","op":"==","value":0}]}`
 	for _, name := range []string{"Push", "Invalidation", "TTL", "Self", "Hybrid", "HAT",
 		"TTL/Multicast", "Push/Broadcast", "Lease/Unicast", "Regime/Unicast", "AdaptiveTTL/Hybrid"} {
-		if _, err := resolveSystem(name); err != nil {
-			t.Errorf("resolveSystem(%q): %v", name, err)
+		p, err := ParsePlan([]byte(fmt.Sprintf(plan, name)))
+		if err != nil {
+			t.Errorf("system %q: %v", name, err)
+			continue
+		}
+		cells, err := p.Cells()
+		if err != nil || len(cells) != 1 || cells[0].System.Name != name {
+			t.Errorf("system %q: cells %+v, err %v", name, cells, err)
 		}
 	}
 	for _, name := range []string{"", "ttl", "TTL/", "/Unicast", "TTL/Unicast/Extra"} {
-		if _, err := resolveSystem(name); err == nil {
-			t.Errorf("resolveSystem(%q) accepted", name)
+		if _, err := ParsePlan([]byte(fmt.Sprintf(plan, name))); err == nil {
+			t.Errorf("system %q accepted", name)
 		}
 	}
 }

@@ -1,11 +1,11 @@
 package topology
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
 	"cdnconsistency/internal/geo"
+	"cdnconsistency/internal/strictjson"
 )
 
 // SitePoint is a bare coordinate in a server-map spec.
@@ -87,14 +87,9 @@ func (m *ServerMap) Validate() error {
 // unknown fields, trailing data, and structurally invalid maps are errors,
 // never panics.
 func ParseServerMap(data []byte) (*ServerMap, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var m ServerMap
-	if err := dec.Decode(&m); err != nil {
+	if err := strictjson.Decode(data, &m); err != nil {
 		return nil, fmt.Errorf("topology: parse server map: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("topology: parse server map: trailing data after spec")
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err

@@ -40,6 +40,8 @@ func TestServerMapStrictParse(t *testing.T) {
 	}{
 		{"unknown field", `{"provider":{"lat":0,"lon":0},"sites":[{"lat":0,"lon":0,"isp":0,"servers":["a"]}],"extra":1}`, "unknown field"},
 		{"trailing data", `{"provider":{"lat":0,"lon":0},"sites":[{"lat":0,"lon":0,"isp":0,"servers":["a"]}]} {}`, "trailing data"},
+		{"trailing brace", `{"provider":{"lat":0,"lon":0},"sites":[{"lat":0,"lon":0,"isp":0,"servers":["a"]}]}}`, "trailing data"},
+		{"trailing brackets", `{"provider":{"lat":0,"lon":0},"sites":[{"lat":0,"lon":0,"isp":0,"servers":["a"]}]} ]]]`, "trailing data"},
 		{"no sites", `{"provider":{"lat":0,"lon":0},"sites":[]}`, "no sites"},
 		{"empty site", `{"provider":{"lat":0,"lon":0},"sites":[{"lat":0,"lon":0,"isp":0,"servers":[]}]}`, "no servers"},
 		{"dup server", `{"provider":{"lat":0,"lon":0},"sites":[{"lat":0,"lon":0,"isp":0,"servers":["a","a"]}]}`, "duplicate server"},

@@ -11,6 +11,7 @@ import (
 
 	"cdnconsistency/internal/core"
 	"cdnconsistency/internal/fault"
+	"cdnconsistency/internal/strictjson"
 	"cdnconsistency/internal/topology"
 	"cdnconsistency/internal/trace"
 	"cdnconsistency/internal/workload"
@@ -141,14 +142,9 @@ func (b *Bundle) Validate() error {
 // unknown fields, trailing data, and inconsistent bundles are errors,
 // never panics.
 func ParseBundle(data []byte) (*Bundle, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var b Bundle
-	if err := dec.Decode(&b); err != nil {
+	if err := strictjson.Decode(data, &b); err != nil {
 		return nil, fmt.Errorf("traceimport: parse bundle: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("traceimport: parse bundle: trailing data after spec")
 	}
 	if err := b.Validate(); err != nil {
 		return nil, err

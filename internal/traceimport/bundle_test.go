@@ -93,6 +93,12 @@ func TestParseBundleStrictness(t *testing.T) {
 		{"trailing data", func(s string) string {
 			return s + " {}"
 		}, "trailing data"},
+		{"trailing brace", func(s string) string {
+			return s + "}"
+		}, "trailing data"},
+		{"trailing brackets", func(s string) string {
+			return s + " ]]]"
+		}, "trailing data"},
 		{"server count mismatch", func(s string) string {
 			return strings.Replace(s, `"servers": 24`, `"servers": 25`, 1)
 		}, "summary says"},

@@ -1,13 +1,14 @@
 package workload
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"time"
+
+	"cdnconsistency/internal/strictjson"
 )
 
 // CohortSpec is one weighted user cohort attached to a server: Count users
@@ -106,14 +107,9 @@ func (p *Population) Marshal() ([]byte, error) {
 // invalid populations are all errors, never panics — the parser is fuzzed on
 // that contract.
 func ParsePopulation(data []byte) (*Population, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var p Population
-	if err := dec.Decode(&p); err != nil {
+	if err := strictjson.Decode(data, &p); err != nil {
 		return nil, fmt.Errorf("workload: parse population: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("workload: parse population: trailing data after spec")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -130,6 +130,8 @@ func TestParsePopulationRejects(t *testing.T) {
 		"neg-period":     `{"servers": [[{"count": 1, "period_ns": -1}]]}`,
 		"unknown-field":  `{"servers": [[{"count": 1, "weight": 2}]]}`,
 		"trailing-data":  `{"servers": [[{"count": 1}]]} {}`,
+		"trailing-brace": `{"servers": [[{"count": 1}]]}}`,
+		"trailing-brkts": `{"servers": [[{"count": 1}]]} ]]]`,
 		"not-json":       `servers: 3`,
 	} {
 		if _, err := ParsePopulation([]byte(data)); err == nil {

@@ -6,11 +6,16 @@
 #   2. run the catalog again with -checkpoint and SIGTERM it as soon as the
 #      journal records a finished cell, then resume and require the resumed
 #      stdout and junit report to be byte-identical to the uninterrupted run,
-#   3. run a seeded-violation plan and require a non-zero exit plus a junit
-#      <failure> carrying the assertion message,
-#   4. run the seeded audit-tripwire plan (deliberate mid-run corruption via
-#      audit_self_test under the sharded engine) and require the barrier
-#      auditor to catch it.
+#   3. run every plan in plans/seeded/ and require each to exit non-zero
+#      with a junit <failure> naming what it breaks: an impossible SLO or
+#      budget, an impossible cross-system compare, and a deliberate mid-run
+#      corruption (audit_self_test under the sharded engine) that the
+#      barrier auditor must catch.
+#
+# The catalog includes the federation plans, so their cross-system compares
+# are checked across -parallel and across kill/resume too; resuming a
+# compare from journaled cells is also covered by
+# TestPlanResumeCompareByteIdentical in cmd/experiments.
 #
 # Any SLO regression, torn journal, resume divergence, or a seeded violation
 # that the harness fails to catch fails the script.
@@ -59,22 +64,25 @@ cmp "$TMP/serial.out" "$TMP/resumed.out"
 cmp "$TMP/serial.xml" "$TMP/resumed.xml"
 echo "plan-smoke: resumed stdout and junit are byte-identical to the uninterrupted run"
 
-echo "plan-smoke: seeded-violation plan must fail"
-if "$TMP/experiments" -plan plans/seeded/bad-slo.json -junit "$TMP/seeded.xml" \
-    >"$TMP/seeded.out" 2>/dev/null; then
-    echo "plan-smoke: FAIL — seeded violation passed" >&2
-    exit 1
-fi
-grep -q '<failure message=' "$TMP/seeded.xml"
-grep -q 'p99_user_inconsistency' "$TMP/seeded.xml"
-echo "plan-smoke: OK — seeded violation failed with the assertion message in the junit report"
-
-echo "plan-smoke: seeded audit tripwire (sharded audit_self_test) must fail"
-if "$TMP/experiments" -plan plans/seeded/bad-audit-tripwire.json -junit "$TMP/tripwire.xml" \
-    >"$TMP/tripwire.out" 2>/dev/null; then
-    echo "plan-smoke: FAIL — audit self-test corruption passed the sharded auditor" >&2
-    exit 1
-fi
-grep -q '<failure message=' "$TMP/tripwire.xml"
-grep -q 'audit_violations' "$TMP/tripwire.xml"
-echo "plan-smoke: OK — sharded barrier auditor caught the seeded corruption"
+# Each seeded plan must fail, with junit naming what broke: an assertion,
+# a cross-system compare, or the auditor tripwire (audit_self_test under
+# the sharded engine, caught by the barrier auditor).
+for plan in plans/seeded/*.json; do
+    name=$(basename "$plan" .json)
+    case "$name" in
+        bad-slo) want='p99_user_inconsistency' ;;
+        bad-budget) want='provider_km_kb' ;;
+        bad-compare) want='compare degraded_seconds' ;;
+        bad-audit-tripwire) want='audit_violations' ;;
+        *) echo "plan-smoke: no expected failure listed for $plan" >&2; exit 1 ;;
+    esac
+    echo "plan-smoke: seeded plan $name must fail"
+    if "$TMP/experiments" -plan "$plan" -junit "$TMP/$name.xml" \
+        >"$TMP/$name.out" 2>/dev/null; then
+        echo "plan-smoke: FAIL — seeded plan $name passed" >&2
+        exit 1
+    fi
+    grep -q '<failure message=' "$TMP/$name.xml"
+    grep -q "$want" "$TMP/$name.xml"
+    echo "plan-smoke: OK — $name failed with $want in the junit report"
+done
